@@ -4,7 +4,7 @@
 //! e-overload`; this bench pins the real per-query overhead of the
 //! pieces it leans on — the token bucket on the admit path, the
 //! full front-door shed (the "cheap degraded response" had better
-//! actually be cheap), and fan-out worker grants under contention.
+//! actually be cheap), and the per-fan-out grant accounting.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use symphony_bench::overload_fleet_world;
@@ -55,8 +55,8 @@ fn bench_query_paths(c: &mut Criterion) {
     group.finish();
 }
 
-/// Weighted fan-out grants: one uncontended tenant vs an interactive
-/// grant racing a background hog.
+/// Fan-out grant accounting: the one-thread grant every fan-out with
+/// tasks takes, alone and while another lane holds a grant.
 fn bench_fanout_grants(c: &mut Criterion) {
     let mut group = c.benchmark_group("admission_fanout");
     for contended in [false, true] {
@@ -65,16 +65,9 @@ fn bench_fanout_grants(c: &mut Criterion) {
             BenchmarkId::from_parameter(label),
             &contended,
             |b, &contended| {
-                let scheduler = FanoutScheduler::new(8);
-                let _hog = if contended {
-                    Some(scheduler.acquire(99, 1, 6, Lane::Background))
-                } else {
-                    None
-                };
-                b.iter(|| {
-                    let grant = scheduler.acquire(1, 4, 4, Lane::Interactive);
-                    std::hint::black_box(grant.workers())
-                });
+                let scheduler = FanoutScheduler::new();
+                let _other = contended.then(|| scheduler.acquire(99, Lane::Background));
+                b.iter(|| std::hint::black_box(scheduler.acquire(1, Lane::Interactive)));
             },
         );
     }

@@ -23,6 +23,7 @@ use symphony_core::{
     AppId, ApplicationConfig, CacheStats, Impression, Platform, PlatformError, QueryHost,
     QueryResponse, QuotaConfig, TrafficSummary,
 };
+use symphony_services::hash::{fnv1a_wide, splitmix64, FNV_OFFSET};
 use symphony_services::FaultPlan;
 use symphony_store::{AccessKey, IndexedTable, TenantId};
 use symphony_web::{Corpus, SearchEngine};
@@ -48,21 +49,9 @@ struct AppRoute {
     published: bool,
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 fn hash_str(s: &str) -> u64 {
-    // FNV-1a, then one splitmix round to spread short names.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    splitmix64(h)
+    // FNV-1a (wide), then one splitmix round to spread short names.
+    splitmix64(fnv1a_wide(FNV_OFFSET, s.as_bytes()))
 }
 
 /// Rendezvous (highest-random-weight) choice of home shard for a

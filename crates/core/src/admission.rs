@@ -1,27 +1,20 @@
 //! Overload protection primitives (ROADMAP item: per-tenant overload
 //! protection).
 //!
-//! Three pieces, all driven by the platform's atomic virtual clock:
+//! Two pieces:
 //!
-//! * [`TokenBucket`] — the per-tenant admission rate limiter. Refill
-//!   is computed lazily from elapsed virtual time, so arbitrary clock
-//!   jumps (tests, replayed traces) behave exactly like many small
-//!   ones, and the level can never exceed the configured burst.
-//! * [`FanoutScheduler`] — a platform-wide worker-permit pool laid
-//!   over the [`MAX_FANOUT_WORKERS`](crate::runtime::MAX_FANOUT_WORKERS)
-//!   fan-out cap. Concurrent queries ask it how many OS threads their
-//!   fan-out may use; grants are weighted fair shares with a
-//!   deficit-style carry, so a burst tenant running many queries at
-//!   once cannot monopolize the pool. Two [`Lane`]s keep background
-//!   work (warmup, builds, maintenance) from ever queuing ahead of
-//!   interactive queries.
-//! * [`DeficitScheduler`] — the classic deficit-round-robin pick over
-//!   backlogged tenant queues, used by the traffic harness and the
-//!   fairness property tests to state the share bound precisely.
+//! * [`TokenBucket`] — the per-tenant admission rate limiter, driven by
+//!   the platform's atomic virtual clock. Refill is computed lazily
+//!   from elapsed virtual time, so arbitrary clock jumps (tests,
+//!   replayed traces) behave exactly like many small ones, and the
+//!   level can never exceed the configured burst.
+//! * [`FanoutScheduler`] — the platform's fan-out accounting. The
+//!   supplemental fan-out runs inline on the query's own thread (its
+//!   parallelism is a virtual-clock model), so each fan-out with tasks
+//!   takes one one-thread grant, counted per tenant and per [`Lane`].
 //!
-//! Worker grants only bound *real* resource use; virtual-time
-//! accounting (`max` under parallel fan-out) is untouched, so results
-//! and virtual latencies stay deterministic no matter how permits land.
+//! Grants never touch virtual-time accounting (`max` under parallel
+//! fan-out), so results and virtual latencies stay deterministic.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -113,269 +106,80 @@ impl TokenBucket {
     }
 }
 
-/// Scheduling lanes for the shared worker pool. Interactive grants are
-/// computed as if background work did not exist (user traffic never
-/// queues behind merges or warmup); background grants only see what
-/// interactive traffic left over.
+/// Lanes a fan-out grant is counted on: customer queries vs background
+/// work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Lane {
     /// Customer queries (the serving path).
     #[default]
     Interactive,
-    /// Warmup, index builds, maintenance.
+    /// Background work run through the runtime (no platform path
+    /// uses this lane today; `Platform::warmup` takes no grant).
     Background,
-}
-
-#[derive(Debug, Default)]
-struct TenantShare {
-    weight: u32,
-    /// Grants currently outstanding (queries mid-fan-out).
-    active: usize,
-    /// Deficit carry in permits: entitlement this tenant wanted but
-    /// did not receive, repaid by larger grants later.
-    deficit: u64,
-    /// Lifetime permits granted (fairness accounting for tests and
-    /// the traffic harness).
-    granted: u64,
 }
 
 #[derive(Debug, Default)]
 struct PoolState {
     interactive_out: usize,
     background_out: usize,
-    tenants: HashMap<u64, TenantShare>,
+    /// Lifetime grants per tenant.
+    granted: HashMap<u64, u64>,
 }
 
-/// The platform-wide fan-out worker pool: a permit allocator shared by
-/// every concurrently executing query.
-///
-/// `acquire` is non-blocking and always grants at least one worker
-/// (every admitted query makes progress); fairness comes from sizing
-/// the grant to the tenant's weighted share of the pool, carrying any
-/// shortfall as a deficit that inflates the tenant's next grant.
-#[derive(Debug)]
+/// The platform's fan-out accounting. A fan-out runs inline on its
+/// calling thread, so every fan-out with tasks takes exactly one
+/// one-thread grant, counted per tenant (lifetime) and per lane (while
+/// outstanding). A one-thread grant never exceeds any fair share, so
+/// there is nothing to size.
+#[derive(Debug, Default)]
 pub struct FanoutScheduler {
-    cap: usize,
     state: Mutex<PoolState>,
 }
 
-/// An outstanding worker allocation; permits return to the pool on
-/// drop.
+/// An outstanding one-thread grant; it returns to the pool on drop.
 #[derive(Debug)]
 pub struct WorkerGrant<'a> {
     pool: &'a FanoutScheduler,
-    tenant: u64,
     lane: Lane,
-    workers: usize,
-}
-
-impl WorkerGrant<'_> {
-    /// How many OS threads the fan-out may use.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
 }
 
 impl Drop for WorkerGrant<'_> {
     fn drop(&mut self) {
-        self.pool.release(self.tenant, self.lane, self.workers);
+        let mut st = self.pool.state.lock();
+        match self.lane {
+            Lane::Interactive => st.interactive_out -= 1,
+            Lane::Background => st.background_out -= 1,
+        }
     }
 }
 
 impl FanoutScheduler {
-    /// A pool of `cap` worker permits.
-    pub fn new(cap: usize) -> FanoutScheduler {
-        FanoutScheduler {
-            cap: cap.max(1),
-            state: Mutex::new(PoolState::default()),
-        }
+    /// An empty pool: nothing granted, nothing outstanding.
+    pub fn new() -> FanoutScheduler {
+        FanoutScheduler::default()
     }
 
-    /// The pool size.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Ask for up to `want` workers for `tenant` (any stable key; the
-    /// platform uses the owning tenant id) at scheduling `weight`.
-    ///
-    /// The grant is `min(want, weighted fair share + deficit carry,
-    /// lane availability)`, floored at one worker. Deficit carry means
-    /// a tenant shorted while the pool was busy is made whole over the
-    /// next grants, so long-run granted shares track weights even
-    /// under contention.
-    pub fn acquire(&self, tenant: u64, weight: u32, want: usize, lane: Lane) -> WorkerGrant<'_> {
-        let want = want.clamp(1, self.cap);
-        let weight = weight.max(1) as u64;
+    /// Take the one-thread grant for one fan-out of `tenant` (any
+    /// stable key; the platform uses the owning tenant id) on `lane`.
+    pub fn acquire(&self, tenant: u64, lane: Lane) -> WorkerGrant<'_> {
         let mut st = self.state.lock();
-        {
-            let share = st.tenants.entry(tenant).or_default();
-            share.weight = weight as u32;
-            share.active += 1;
-        }
-        let active_weight: u64 = st
-            .tenants
-            .values()
-            .filter(|t| t.active > 0)
-            .map(|t| t.weight as u64)
-            .sum();
-        let fair = ((self.cap as u64 * weight) / active_weight.max(1)).max(1);
-        let available = match lane {
-            Lane::Interactive => self.cap.saturating_sub(st.interactive_out),
-            Lane::Background => self
-                .cap
-                .saturating_sub(st.interactive_out + st.background_out),
-        };
-        let share = st.tenants.get_mut(&tenant).expect("registered above");
-        let entitled = (fair + share.deficit).min(self.cap as u64) as usize;
-        let grant = want.min(entitled).min(available.max(1)).max(1);
-        // Carry only entitlement the tenant actually wanted; cap the
-        // carry so an idle-then-bursty tenant cannot bank the pool.
-        share.deficit = (entitled.min(want) as u64)
-            .saturating_sub(grant as u64)
-            .min(self.cap as u64 * 4);
-        share.granted += grant as u64;
+        *st.granted.entry(tenant).or_default() += 1;
         match lane {
-            Lane::Interactive => st.interactive_out += grant,
-            Lane::Background => st.background_out += grant,
+            Lane::Interactive => st.interactive_out += 1,
+            Lane::Background => st.background_out += 1,
         }
-        drop(st);
-        WorkerGrant {
-            pool: self,
-            tenant,
-            lane,
-            workers: grant,
-        }
+        WorkerGrant { pool: self, lane }
     }
 
-    fn release(&self, tenant: u64, lane: Lane, workers: usize) {
-        let mut st = self.state.lock();
-        match lane {
-            Lane::Interactive => st.interactive_out = st.interactive_out.saturating_sub(workers),
-            Lane::Background => st.background_out = st.background_out.saturating_sub(workers),
-        }
-        if let Some(share) = st.tenants.get_mut(&tenant) {
-            share.active = share.active.saturating_sub(1);
-        }
-    }
-
-    /// Lifetime permits granted to `tenant` (fairness readout).
+    /// Lifetime grants to `tenant`: one per fan-out with tasks.
     pub fn granted(&self, tenant: u64) -> u64 {
-        self.state
-            .lock()
-            .tenants
-            .get(&tenant)
-            .map_or(0, |t| t.granted)
+        self.state.lock().granted.get(&tenant).copied().unwrap_or(0)
     }
 
-    /// Permits currently out per lane: `(interactive, background)`.
+    /// Grants currently out per lane: `(interactive, background)`.
     pub fn outstanding(&self) -> (usize, usize) {
         let st = self.state.lock();
         (st.interactive_out, st.background_out)
-    }
-}
-
-/// Deficit round robin over per-tenant backlogs: each round a
-/// backlogged tenant banks `quantum × weight` credit and serves work
-/// items (cost 1) while credit lasts. Over any window in which a
-/// tenant stays backlogged, its completed share tracks its weight
-/// share to within one quantum per tenant per round — the bound the
-/// property tests assert.
-#[derive(Debug, Clone)]
-pub struct DeficitScheduler {
-    quantum: u64,
-    tenants: Vec<DrrTenant>,
-    cursor: usize,
-}
-
-#[derive(Debug, Clone)]
-struct DrrTenant {
-    weight: u32,
-    deficit: u64,
-    backlog: u64,
-    completed: u64,
-}
-
-impl DeficitScheduler {
-    /// An empty scheduler with a per-weight-unit quantum of `quantum`
-    /// work items per round.
-    pub fn new(quantum: u64) -> DeficitScheduler {
-        DeficitScheduler {
-            quantum: quantum.max(1),
-            tenants: Vec::new(),
-            cursor: 0,
-        }
-    }
-
-    /// Register a tenant with a scheduling weight; returns its slot.
-    pub fn register(&mut self, weight: u32) -> usize {
-        self.tenants.push(DrrTenant {
-            weight: weight.max(1),
-            deficit: 0,
-            backlog: 0,
-            completed: 0,
-        });
-        self.tenants.len() - 1
-    }
-
-    /// Add `n` work items to a tenant's backlog.
-    pub fn enqueue(&mut self, tenant: usize, n: u64) {
-        self.tenants[tenant].backlog += n;
-    }
-
-    /// Pending work for a tenant.
-    pub fn backlog(&self, tenant: usize) -> u64 {
-        self.tenants[tenant].backlog
-    }
-
-    /// Work items completed for a tenant so far.
-    pub fn completed(&self, tenant: usize) -> u64 {
-        self.tenants[tenant].completed
-    }
-
-    /// Pick the tenant whose work item runs next, or `None` when every
-    /// backlog is empty. A tenant whose backlog drains forfeits its
-    /// remaining deficit (standard DRR: credit never accrues while
-    /// idle).
-    pub fn next_tenant(&mut self) -> Option<usize> {
-        let n = self.tenants.len();
-        if n == 0 {
-            return None;
-        }
-        // At most one full refill round past every tenant: if nothing
-        // is backlogged after that, the queues are empty.
-        for _ in 0..=n {
-            for _ in 0..n {
-                let i = self.cursor;
-                let t = &mut self.tenants[i];
-                if t.backlog == 0 {
-                    t.deficit = 0;
-                    self.cursor = (self.cursor + 1) % n;
-                    continue;
-                }
-                if t.deficit >= 1 {
-                    t.deficit -= 1;
-                    t.backlog -= 1;
-                    t.completed += 1;
-                    // Stay on this tenant while its credit lasts.
-                    if t.deficit == 0 || t.backlog == 0 {
-                        if t.backlog == 0 {
-                            t.deficit = 0;
-                        }
-                        self.cursor = (self.cursor + 1) % n;
-                    }
-                    return Some(i);
-                }
-                // Credit exhausted: bank a fresh quantum and move on;
-                // the next visit serves it.
-                t.deficit += self.quantum * t.weight as u64;
-                self.cursor = (self.cursor + 1) % n;
-            }
-            if self.tenants.iter().all(|t| t.backlog == 0) {
-                return None;
-            }
-        }
-        None
     }
 }
 
@@ -420,87 +224,19 @@ mod tests {
     }
 
     #[test]
-    fn solo_tenant_gets_the_whole_pool() {
-        let pool = FanoutScheduler::new(16);
-        let g = pool.acquire(1, 1, 16, Lane::Interactive);
-        assert_eq!(g.workers(), 16);
-        drop(g);
+    fn grants_are_counted_per_tenant_and_lane() {
+        let pool = FanoutScheduler::new();
+        let a = pool.acquire(1, Lane::Interactive);
+        let b = pool.acquire(1, Lane::Interactive);
+        let c = pool.acquire(2, Lane::Background);
+        assert_eq!(pool.outstanding(), (2, 1));
+        drop(b);
+        assert_eq!(pool.outstanding(), (1, 1));
+        drop(a);
+        drop(c);
         assert_eq!(pool.outstanding(), (0, 0));
-    }
-
-    #[test]
-    fn concurrent_tenants_split_by_weight() {
-        let pool = FanoutScheduler::new(16);
-        // Tenant 1 (weight 3) holds a grant while tenant 2 (weight 1)
-        // arrives: shares split 12/4.
-        let g1 = pool.acquire(1, 3, 16, Lane::Interactive);
-        assert_eq!(g1.workers(), 16, "alone at acquire time");
-        let g2 = pool.acquire(2, 1, 16, Lane::Interactive);
-        // 16 * 1/4 = 4 entitled, but only the floor of one permit is
-        // guaranteed when the pool is drained; the shortfall carries.
-        assert!(g2.workers() >= 1);
-        drop(g1);
-        drop(g2);
-        let g2b = pool.acquire(2, 1, 16, Lane::Interactive);
-        assert!(
-            g2b.workers() > 1,
-            "deficit carry inflates the next grant: {}",
-            g2b.workers()
-        );
-    }
-
-    #[test]
-    fn background_lane_only_sees_leftovers() {
-        let pool = FanoutScheduler::new(8);
-        let fg = pool.acquire(1, 1, 6, Lane::Interactive);
-        assert_eq!(fg.workers(), 6);
-        let bg = pool.acquire(99, 1, 8, Lane::Background);
-        assert!(
-            bg.workers() <= 2,
-            "background must not displace interactive: {}",
-            bg.workers()
-        );
-        drop(bg);
-        // Interactive ignores background outstanding entirely.
-        let bg2 = pool.acquire(99, 1, 2, Lane::Background);
-        let fg2 = pool.acquire(2, 1, 2, Lane::Interactive);
-        assert_eq!(fg2.workers(), 2);
-        drop(fg2);
-        drop(bg2);
-        drop(fg);
-    }
-
-    #[test]
-    fn drr_shares_track_weights() {
-        let mut s = DeficitScheduler::new(1);
-        let a = s.register(3);
-        let b = s.register(1);
-        s.enqueue(a, 10_000);
-        s.enqueue(b, 10_000);
-        let mut counts = [0u64; 2];
-        for _ in 0..4000 {
-            let who = s.next_tenant().expect("both backlogged");
-            counts[who] += 1;
-        }
-        let share_a = counts[a] as f64 / 4000.0;
-        assert!(
-            (share_a - 0.75).abs() < 0.01,
-            "weight-3 tenant should get ~75%, got {share_a}"
-        );
-        assert_eq!(counts[a], s.completed(a));
-    }
-
-    #[test]
-    fn drr_drains_and_reports_empty() {
-        let mut s = DeficitScheduler::new(2);
-        let a = s.register(1);
-        s.enqueue(a, 3);
-        let mut served = 0;
-        while s.next_tenant().is_some() {
-            served += 1;
-        }
-        assert_eq!(served, 3);
-        assert_eq!(s.backlog(a), 0);
-        assert!(s.next_tenant().is_none());
+        assert_eq!(pool.granted(1), 2);
+        assert_eq!(pool.granted(2), 1);
+        assert_eq!(pool.granted(3), 0);
     }
 }

@@ -90,8 +90,10 @@ pub struct AdmissionPolicy {
     /// (`u32::MAX` = unlimited). Cache hits do not count: they consume
     /// no execution resources.
     pub max_concurrency: u32,
-    /// Weighted-fair-scheduling weight for this tenant's share of the
-    /// platform's fan-out worker pool (must be at least 1).
+    /// Fair-share weight of this tenant (must be at least 1). Nothing
+    /// reads it yet: the fan-out runs inline, so there is no worker
+    /// pool to share. It is kept for a weighted share of admission
+    /// under saturation.
     pub weight: u32,
 }
 
@@ -108,8 +110,8 @@ impl Default for AdmissionPolicy {
 }
 
 impl AdmissionPolicy {
-    /// True when no admission limit is configured (weight is advisory
-    /// and does not count: it only shapes worker-pool shares).
+    /// True when no admission limit is configured (weight does not
+    /// count: it limits nothing).
     pub fn is_unlimited(&self) -> bool {
         self.rate_per_sec == u32::MAX && self.max_concurrency == u32::MAX
     }

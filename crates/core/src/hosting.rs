@@ -40,6 +40,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use symphony_ads::{AdServer, CampaignId, Placement};
+use symphony_services::hash::{fnv1a, FNV_OFFSET};
 use symphony_store::{AccessKey, IndexedTable, Store, TenantId};
 use symphony_web::SearchEngine;
 
@@ -153,9 +154,10 @@ pub struct Platform {
     /// Platform-wide L2 source-result cache, shared by every hosted
     /// app (lock-sharded internally; singleflight + TinyLFU).
     source_cache: SourceCache,
-    /// Platform-wide fan-out worker-permit pool: concurrent queries
-    /// share [`crate::runtime::MAX_FANOUT_WORKERS`] OS threads in
-    /// weighted fair shares.
+    /// Platform-wide fan-out accounting: one one-thread grant per
+    /// fan-out with tasks, counted per tenant and lane. Fan-outs run
+    /// inline on the querying thread; their parallelism is modelled
+    /// on the virtual clock.
     scheduler: FanoutScheduler,
     clock_ms: AtomicU64,
     quotas: QuotaConfig,
@@ -197,7 +199,7 @@ impl Platform {
                 symphony_services::BreakerConfig::default(),
             ),
             source_cache: SourceCache::new(SourceCacheConfig::default()),
-            scheduler: FanoutScheduler::new(crate::runtime::MAX_FANOUT_WORKERS),
+            scheduler: FanoutScheduler::new(),
             clock_ms: AtomicU64::new(0),
             quotas: QuotaConfig::default(),
             mode: ExecMode::Parallel,
@@ -304,8 +306,8 @@ impl Platform {
         &self.breakers
     }
 
-    /// The shared fan-out worker pool (fairness readouts: lifetime
-    /// grants per tenant, outstanding permits per lane).
+    /// The shared fan-out accounting (lifetime grants per tenant,
+    /// outstanding grants per lane).
     pub fn scheduler(&self) -> &FanoutScheduler {
         &self.scheduler
     }
@@ -361,8 +363,9 @@ impl Platform {
 
     /// Warm the platform for serving: compress every tenant table's
     /// full-text posting lists and precompute their score-bound stats,
-    /// spreading tables across scoped worker threads (capped like the
-    /// fan-out pool). Multi-app boot calls this once after uploading
+    /// spreading tables across at most
+    /// [`MAX_FANOUT_WORKERS`](crate::runtime::MAX_FANOUT_WORKERS) scoped
+    /// threads. Multi-app boot calls this once after uploading
     /// tenant data so first queries skip the raw-postings slow path.
     /// Optimization never changes results, so nothing cached is
     /// invalidated. Returns the number of tables visited.
@@ -376,17 +379,8 @@ impl Platform {
         if n == 0 {
             return 0;
         }
-        // Warmup is background work: take its worker budget from the
-        // background lane so it can never displace interactive queries
-        // mid-flight.
-        let grant = self.scheduler.acquire(
-            u64::MAX,
-            1,
-            crate::runtime::MAX_FANOUT_WORKERS.min(n),
-            Lane::Background,
-        );
-        let workers = grant.workers();
-        let chunk = n.div_ceil(workers);
+        // `&mut self`: no query is in flight, so warmup needs no grant.
+        let chunk = n.div_ceil(crate::runtime::MAX_FANOUT_WORKERS.min(n));
         std::thread::scope(|s| {
             let mut rest = tables;
             while !rest.is_empty() {
@@ -973,10 +967,10 @@ fn overrides_fingerprint(
 ) -> u64 {
     let mut names: Vec<&String> = overrides.keys().collect();
     names.sort();
-    let mut h = crate::source_cache::fnv1a_str(0xcbf2_9ce4_8422_2325, "");
+    let mut h = FNV_OFFSET;
     for name in names {
-        h = crate::source_cache::fnv1a_str(h, name);
-        h = crate::source_cache::fnv1a_str(h, &format!("{:?}", overrides[name]));
+        h = fnv1a(h, name.as_bytes());
+        h = fnv1a(h, format!("{:?}", overrides[name]).as_bytes());
     }
     h
 }

@@ -19,7 +19,7 @@
 //! * [`recommend`] — supplemental-content recommendation (paper §IV
 //!   future work), content- and crowd-driven.
 //! * [`admission`] — per-tenant overload protection: token-bucket
-//!   admission, weighted-fair worker scheduling, load shedding.
+//!   admission, per-tenant fan-out grant accounting, load shedding.
 //! * [`trace`] — execution traces (the Fig.-2 stage tree).
 //!
 //! ## Quick example
@@ -77,7 +77,7 @@ pub mod source;
 pub mod source_cache;
 pub mod trace;
 
-pub use admission::{DeficitScheduler, FanoutScheduler, Lane, TokenBucket, WorkerGrant};
+pub use admission::{FanoutScheduler, Lane, TokenBucket, WorkerGrant};
 pub use app::{
     AdmissionPolicy, AppBuilder, AppId, ApplicationConfig, MonetizationConfig, ResiliencePolicy,
     SupplementalBinding,

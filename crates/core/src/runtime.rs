@@ -5,15 +5,23 @@
 //! 1. the embedded JavaScript forwards the customer's query;
 //! 2. primary content sources are queried with it;
 //! 3. supplemental sources are queried with templates over fields of
-//!    each primary result — those fetches **fan out in parallel**
-//!    (std scoped threads), one of the platform's core "heavy
-//!    lifting" claims (ablated in experiment E1);
+//!    each primary result — those fetches **fan out in parallel**,
+//!    one of the platform's core "heavy lifting" claims (ablated in
+//!    experiment E1);
 //! 4. everything merges into the designed layout and renders to HTML;
 //! 5. the HTML goes back to the page.
 //!
 //! Latency is *virtual*: each source reports virtual milliseconds, and
 //! the runtime combines them as `max` under parallel execution or
 //! `sum` under the sequential ablation.
+//!
+//! The parallel fan-out is a virtual-clock model. Its point is to
+//! overlap *remote* source latency, and here that latency lives on the
+//! virtual clock while the sources run in-process. So the fetches run
+//! inline, one after another on the calling thread: every task starts
+//! at the same virtual time with the same budget and its own pre-split
+//! retry grant, each slot has its own `catch_unwind`, and the stage
+//! charges the `max`. No OS thread is spawned per query.
 
 use crate::admission::{FanoutScheduler, Lane};
 use crate::app::{ApplicationConfig, ResiliencePolicy};
@@ -24,7 +32,6 @@ use crate::trace::{ExecutionTrace, TraceNode};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use symphony_designer::{render_element, Element, ElementKind};
 use symphony_services::BreakerRegistry;
@@ -42,9 +49,10 @@ pub enum ExecMode {
 pub const RECEIVE_MS: u32 = 1;
 /// Fixed virtual cost of merging and formatting the response.
 pub const MERGE_MS: u32 = 2;
-/// Cap on OS threads a parallel fan-out may use. Virtual-time
-/// semantics (`max` combining) are unchanged; the cap only bounds
-/// real resource use per query.
+/// Cap on the scoped OS threads [`Platform::warmup`] spreads table
+/// optimization across. The query fan-out itself spawns none.
+///
+/// [`Platform::warmup`]: crate::hosting::Platform::warmup
 pub const MAX_FANOUT_WORKERS: usize = 16;
 /// Flat virtual cost of a shed (admission-refused) response: cheaper
 /// than a cache hit, and no source, breaker, or cache is touched.
@@ -62,12 +70,11 @@ pub struct ExecCtx<'a> {
     /// The platform's shared L2 source-result cache. `None` executes
     /// every fetch directly (standalone execution, ablations).
     pub source_cache: Option<&'a SourceCache>,
-    /// The platform's shared fan-out worker pool. `None` gives every
-    /// query the full [`MAX_FANOUT_WORKERS`] cap (standalone
-    /// execution); with a scheduler, concurrent queries receive
-    /// weighted fair shares of the pool instead.
+    /// The platform's fan-out accounting: each fan-out with tasks takes
+    /// one one-thread grant on it, counted per tenant and lane. `None`
+    /// counts nothing (standalone execution).
     pub scheduler: Option<&'a FanoutScheduler>,
-    /// Scheduling lane (interactive serving vs background work).
+    /// Lane the fan-out's grant is counted on.
     pub lane: Lane,
 }
 
@@ -289,9 +296,6 @@ pub fn execute_resilient(
         }
     }
 
-    // Actual OS threads the parallel fan-out used (scheduler grant or
-    // the static cap); surfaces in the trace for the Fig.-2 report.
-    let mut pool_workers = 0usize;
     let outcomes: Vec<Fetched> = match mode {
         ExecMode::Sequential => {
             let mut out = Vec::with_capacity(tasks.len());
@@ -303,10 +307,7 @@ pub fn execute_resilient(
                     retries_allowed: retry_pool,
                     breakers: ctx.breakers,
                 };
-                let o = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    dispatch(app, t, subs, &sctx, ctx.source_cache)
-                }))
-                .unwrap_or_else(|p| Fetched::uncached(panic_outcome(&t.source, p.as_ref())));
+                let o = guarded_dispatch(app, t, subs, &sctx, ctx.source_cache);
                 if let Some(pool) = retry_pool.as_mut() {
                     *pool = pool.saturating_sub(o.attempts_charged.saturating_sub(1));
                 }
@@ -321,79 +322,33 @@ pub fn execute_resilient(
             let n = tasks.len();
             let start_ms = ctx.now_ms + (RECEIVE_MS + primary_ms) as u64;
             let budget = budget_for(&policy, primary_ms);
-            // Pre-split the retry pool across tasks: sharing one
-            // mutable pool between racing workers would make grants
-            // depend on thread scheduling.
-            let grants: Vec<Option<u32>> = match retry_pool {
+            // Pre-split the retry pool across tasks, so no task's grant
+            // depends on what an earlier task in the loop used.
+            let retry_grants: Vec<Option<u32>> = match retry_pool {
                 None => vec![None; n],
                 Some(pool) => (0..n as u32)
                     .map(|i| Some(pool / n as u32 + u32::from(i < pool % n as u32)))
                     .collect(),
             };
-            // Bounded chunk pool: at most MAX_FANOUT_WORKERS OS
-            // threads pull tasks off a shared index. One panicking
-            // source degrades its own slot only. When the platform's
-            // shared scheduler is attached, the worker count is this
-            // tenant's weighted fair share of the pool instead of the
-            // full cap, so concurrent queries from a burst tenant
-            // cannot monopolize fan-out threads. Worker count never
-            // affects virtual time (max-combining), only real
-            // parallelism.
-            let grant = ctx.scheduler.map(|s| {
-                s.acquire(
-                    app.owner.0 as u64,
-                    app.admission.weight,
-                    n.min(MAX_FANOUT_WORKERS),
-                    ctx.lane,
-                )
-            });
-            let workers = grant
-                .as_ref()
-                .map_or(n.min(MAX_FANOUT_WORKERS), |g| g.workers());
-            pool_workers = workers;
-            let next = AtomicUsize::new(0);
-            let mut slots: Vec<Option<Fetched>> = (0..n).map(|_| None).collect();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        let tasks = &tasks;
-                        let grants = &grants;
-                        scope.spawn(move || {
-                            let mut local = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= tasks.len() {
-                                    break;
-                                }
-                                let t = &tasks[i];
-                                let sctx = SourceCtx {
-                                    now_ms: start_ms,
-                                    budget_ms: budget,
-                                    retries_allowed: grants[i],
-                                    breakers: ctx.breakers,
-                                };
-                                let o = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                    dispatch(app, t, subs, &sctx, ctx.source_cache)
-                                }))
-                                .unwrap_or_else(|p| {
-                                    Fetched::uncached(panic_outcome(&t.source, p.as_ref()))
-                                });
-                                local.push((i, o));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (i, o) in h.join().expect("fan-out pool worker died") {
-                        slots[i] = Some(o);
-                    }
-                }
-            });
-            let outcomes: Vec<Fetched> = slots
-                .into_iter()
-                .map(|o| o.expect("every fan-out task ran"))
+            // The fetches run one after another on this thread; their
+            // parallelism is modelled on the virtual clock (same start,
+            // `max`-combined), which is what remote sources would see.
+            let _fanout_grant = ctx
+                .scheduler
+                .filter(|_| n > 0)
+                .map(|s| s.acquire(app.owner.0 as u64, ctx.lane));
+            let outcomes: Vec<Fetched> = tasks
+                .iter()
+                .zip(retry_grants)
+                .map(|(t, retries_allowed)| {
+                    let sctx = SourceCtx {
+                        now_ms: start_ms,
+                        budget_ms: budget,
+                        retries_allowed,
+                        breakers: ctx.breakers,
+                    };
+                    guarded_dispatch(app, t, subs, &sctx, ctx.source_cache)
+                })
                 .collect();
             if let Some(pool) = retry_pool.as_mut() {
                 for o in &outcomes {
@@ -524,11 +479,9 @@ pub fn execute_resilient(
             "supplemental fan-out",
             suppl_ms,
             match mode {
-                ExecMode::Parallel => format!(
-                    "parallel: max of {} fetches ({} workers)",
-                    fanout_trace.len(),
-                    pool_workers
-                ),
+                ExecMode::Parallel => {
+                    format!("parallel: max of {} fetches (1 worker)", fanout_trace.len())
+                }
                 ExecMode::Sequential => {
                     format!("sequential: sum of {} fetches", fanout_trace.len())
                 }
@@ -612,6 +565,19 @@ pub fn shed_response(app: &ApplicationConfig, query: &str, reason: &str) -> Quer
         virtual_ms: SHED_MS,
         impressions: Vec::new(),
     }
+}
+
+/// [`dispatch`] under `catch_unwind`: one panicking source degrades
+/// its own slot only.
+fn guarded_dispatch(
+    app: &ApplicationConfig,
+    task: &FanoutTask,
+    subs: Substrates<'_>,
+    sctx: &SourceCtx<'_>,
+    cache: Option<&SourceCache>,
+) -> Fetched {
+    std::panic::catch_unwind(AssertUnwindSafe(|| dispatch(app, task, subs, sctx, cache)))
+        .unwrap_or_else(|p| Fetched::uncached(panic_outcome(&task.source, p.as_ref())))
 }
 
 fn dispatch(
@@ -882,10 +848,11 @@ mod tests {
         assert!(fanout.detail.contains("error"));
     }
 
-    /// Service that tracks peak concurrent in-flight handlers.
+    /// Service that records, in call order, the thread each fetch ran
+    /// on and the item it was asked about; it prices every item by
+    /// name so a rendered slot shows which fetch filled it.
     struct ProbeService {
-        current: std::sync::Arc<AtomicUsize>,
-        peak: std::sync::Arc<AtomicUsize>,
+        calls: std::sync::Arc<std::sync::Mutex<Vec<(std::thread::ThreadId, String)>>>,
     }
 
     impl symphony_services::Service for ProbeService {
@@ -905,14 +872,14 @@ mod tests {
             &self,
             request: &symphony_services::ServiceRequest,
         ) -> Result<symphony_services::ServiceResponse, symphony_services::ServiceFault> {
-            let now = self.current.fetch_add(1, Ordering::SeqCst) + 1;
-            self.peak.fetch_max(now, Ordering::SeqCst);
-            // Real (not virtual) dwell so workers genuinely overlap.
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            self.current.fetch_sub(1, Ordering::SeqCst);
+            let item = request.param("item").unwrap_or("?").to_string();
+            self.calls
+                .lock()
+                .unwrap()
+                .push((std::thread::current().id(), item.clone()));
             Ok(symphony_services::ServiceResponse::single(&[
-                ("item", request.param("item").unwrap_or("?")),
-                ("price", "1.00"),
+                ("item", item.as_str()),
+                ("price", &format!("{item} price")),
             ]))
         }
     }
@@ -994,15 +961,14 @@ mod tests {
     }
 
     #[test]
-    fn fanout_pool_is_bounded_with_many_tasks() {
-        let current = std::sync::Arc::new(AtomicUsize::new(0));
-        let peak = std::sync::Arc::new(AtomicUsize::new(0));
+    fn wide_fanout_runs_inline_in_task_order() {
+        use crate::admission::FanoutScheduler;
+        let calls = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
         let mut transport = SimulatedTransport::new(7);
         transport.register(
             "probe",
             Box::new(ProbeService {
-                current: current.clone(),
-                peak: peak.clone(),
+                calls: calls.clone(),
             }),
             LatencyModel::fast(),
         );
@@ -1014,26 +980,80 @@ mod tests {
             ads: None,
             scatter: None,
         };
-        let resp = execute(&app, "gadget", subs, ExecMode::Parallel);
+        let scheduler = FanoutScheduler::new();
+        let ctx = ExecCtx {
+            scheduler: Some(&scheduler),
+            ..ExecCtx::default()
+        };
+        let resp = execute_resilient(
+            &app,
+            "gadget",
+            subs,
+            ExecMode::Parallel,
+            &HashMap::new(),
+            &ctx,
+        );
         let fanout = resp.trace.find("supplemental fan-out").unwrap();
-        assert!(
-            fanout.children.len() >= 100,
-            "expected a wide fan-out, got {}",
-            fanout.children.len()
-        );
-        assert!(
-            peak.load(Ordering::SeqCst) <= MAX_FANOUT_WORKERS,
-            "peak concurrency {} exceeded the {MAX_FANOUT_WORKERS}-worker cap",
-            peak.load(Ordering::SeqCst)
-        );
+        assert_eq!(fanout.children.len(), 120);
+        assert!(fanout.detail.contains("(1 worker)"), "{}", fanout.detail);
+        assert!(!resp.trace.degraded);
+
+        // Every fetch ran on this thread, one per task, in task order.
+        let calls = calls.lock().unwrap();
+        let me = std::thread::current().id();
+        assert!(calls.iter().all(|(thread, _)| *thread == me));
+        let task_items: Vec<String> = fanout
+            .children
+            .iter()
+            .map(|c| {
+                let q = c.detail.split('"').nth(1).unwrap();
+                q.to_string()
+            })
+            .collect();
+        let called: Vec<String> = calls.iter().map(|(_, item)| item.clone()).collect();
+        assert_eq!(called, task_items);
+
+        // Each slot holds its own task's outcome, rendered in task order.
+        let mut at = 0;
+        for item in &task_items {
+            let found = resp.html[at..]
+                .find(&format!("{item} price"))
+                .unwrap_or_else(|| panic!("slot for {item:?} missing or out of order"));
+            at += found + 1;
+        }
+
         // Virtual time still combines as max, not sum.
         assert!(
             resp.virtual_ms <= RECEIVE_MS + 5 + 10 + MERGE_MS,
             "parallel virtual time must be max-combined, got {}",
             resp.virtual_ms
         );
-        assert!(fanout.detail.contains("workers"), "{}", fanout.detail);
-        assert!(!resp.trace.degraded);
+        // One grant for the fan-out, returned once it finished.
+        assert_eq!(scheduler.granted(tenant.0 as u64), 1);
+        assert_eq!(scheduler.outstanding(), (0, 0));
+    }
+
+    #[test]
+    fn fanout_without_tasks_takes_no_grant() {
+        use crate::admission::FanoutScheduler;
+        let w = world();
+        let app = gamer_queen(&w);
+        let scheduler = FanoutScheduler::new();
+        let ctx = ExecCtx {
+            scheduler: Some(&scheduler),
+            ..ExecCtx::default()
+        };
+        let resp = execute_resilient(
+            &app,
+            "zzzqqq",
+            subs(&w),
+            ExecMode::Parallel,
+            &HashMap::new(),
+            &ctx,
+        );
+        assert!(resp.trace.find("supplemental fan-out").is_none());
+        assert_eq!(scheduler.granted(w.tenant.0 as u64), 0);
+        assert_eq!(scheduler.outstanding(), (0, 0));
     }
 
     #[test]
@@ -1106,58 +1126,6 @@ mod tests {
         let slot = resp.trace.find("primary: inventory").unwrap();
         assert!(slot.detail.contains("(shed)"), "{}", slot.detail);
         assert!(resp.trace.render().contains("shed"));
-    }
-
-    #[test]
-    fn scheduler_grant_bounds_fanout_workers() {
-        use crate::admission::{FanoutScheduler, Lane};
-        let current = std::sync::Arc::new(AtomicUsize::new(0));
-        let peak = std::sync::Arc::new(AtomicUsize::new(0));
-        let mut transport = SimulatedTransport::new(7);
-        transport.register(
-            "probe",
-            Box::new(ProbeService {
-                current: current.clone(),
-                peak: peak.clone(),
-            }),
-            LatencyModel::fast(),
-        );
-        let (store, tenant, key, app) = wide_app(60, "probe");
-        let subs = Substrates {
-            space: Some(store.space(tenant, &key).unwrap()),
-            engine: None,
-            transport: Some(&transport),
-            ads: None,
-            scatter: None,
-        };
-        // Another tenant (weight 3) is mid-fan-out holding its share;
-        // this weight-1 tenant's fair share is 16/4 = 4 workers.
-        let pool = FanoutScheduler::new(MAX_FANOUT_WORKERS);
-        let other = pool.acquire(999, 3, 12, Lane::Interactive);
-        let ctx = ExecCtx {
-            scheduler: Some(&pool),
-            ..ExecCtx::default()
-        };
-        let resp = execute_resilient(
-            &app,
-            "gadget",
-            subs,
-            ExecMode::Parallel,
-            &HashMap::new(),
-            &ctx,
-        );
-        drop(other);
-        assert!(
-            peak.load(Ordering::SeqCst) <= 4,
-            "fair share of 4 exceeded: {}",
-            peak.load(Ordering::SeqCst)
-        );
-        // Every slot still served; virtual time still max-combined.
-        assert!(!resp.trace.degraded);
-        let fanout = resp.trace.find("supplemental fan-out").unwrap();
-        assert!(fanout.detail.contains("workers"), "{}", fanout.detail);
-        // The grant was released once the fan-out finished.
-        assert_eq!(pool.outstanding(), (0, 0));
     }
 
     #[test]

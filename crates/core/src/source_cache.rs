@@ -41,6 +41,7 @@ use crate::cache::LruTtlCache;
 use crate::source::{DataSourceDef, SourceCtx, SourceOutcome};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use symphony_services::hash::{fnv1a, FNV_OFFSET};
 use symphony_services::BreakerState;
 use symphony_store::TenantId;
 
@@ -608,23 +609,6 @@ impl Drop for InflightGuard<'_> {
 }
 
 // ---- Fingerprints -------------------------------------------------
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// FNV-1a over a string, continuing from `h` (crate-internal helper
-/// for other stable fingerprints, e.g. the L1 override keying).
-pub(crate) fn fnv1a_str(h: u64, s: &str) -> u64 {
-    fnv1a(h, s.as_bytes())
-}
 
 /// Stable fingerprint of everything besides the query that determines
 /// a source outcome: the source definition (including its full

@@ -152,6 +152,10 @@ impl Store {
     }
 }
 
+/// `fnv1a_wide` over the name bytes, then the id's little-endian
+/// bytes. The shared helper lives in `symphony-services::hash`; this
+/// crate depends on nothing but the text index, so it keeps its own
+/// copy, which `tests/tests/cross_props.rs` pins to the shared one.
 fn mix(id: u32, name: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in name.bytes().chain(id.to_le_bytes()) {

@@ -20,6 +20,7 @@
 //! matching the platform's lock-sharded serving state: fetches for
 //! unrelated endpoints never contend.
 
+use crate::hash::{fnv1a, FNV_OFFSET};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -104,13 +105,7 @@ impl std::fmt::Debug for BreakerRegistry {
 }
 
 fn shard_of(endpoint: &str) -> usize {
-    // FNV-1a; stable across runs (unlike `DefaultHasher` seeds).
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in endpoint.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % SHARDS as u64) as usize
+    (fnv1a(FNV_OFFSET, endpoint.as_bytes()) % SHARDS as u64) as usize
 }
 
 impl BreakerRegistry {

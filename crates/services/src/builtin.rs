@@ -6,16 +6,12 @@
 //! deterministic functions of the queried item name, so scenarios and
 //! tests are stable without any stored state.
 
+use crate::hash::{fnv1a_wide, FNV_OFFSET};
 use crate::message::{ServiceRequest, ServiceResponse};
 use crate::service::{OperationDesc, Protocol, Service, ServiceDescription, ServiceFault};
 
 fn item_hash(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.to_lowercase().bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    fnv1a_wide(FNV_OFFSET, name.to_lowercase().as_bytes())
 }
 
 fn missing_item() -> ServiceFault {

@@ -16,8 +16,9 @@
 //!   consulted before the wire is touched.
 
 use crate::breaker::{Admission, BreakerRegistry};
+use crate::hash::splitmix64;
 use crate::message::{ServiceRequest, ServiceResponse};
-use crate::transport::{splitmix64, ServiceError, SimulatedTransport};
+use crate::transport::{ServiceError, SimulatedTransport};
 
 /// Retry/timeout/backoff/hedging policy.
 #[derive(Debug, Clone, Copy)]

@@ -13,6 +13,7 @@
 //! * [`client`] — timeout/retry/backoff/hedging policy wrapper.
 //! * [`breaker`] — per-endpoint circuit breakers on the virtual clock.
 //! * [`fault`] — deterministic fault injection scheduled in virtual time.
+//! * [`hash`] — the workspace's stable FNV-1a / splitmix64 helpers.
 //! * [`builtin`] — the pricing / in-stock / blurb services the paper's
 //!   GamerQueen scenario plugs in.
 //!
@@ -39,6 +40,7 @@ pub mod breaker;
 pub mod builtin;
 pub mod client;
 pub mod fault;
+pub mod hash;
 pub mod message;
 pub mod rpc;
 pub mod service;

@@ -8,6 +8,7 @@
 //! from a per-transport seeded RNG.
 
 use crate::fault::FaultPlan;
+use crate::hash::{fnv1a, splitmix64, FNV_OFFSET};
 use crate::message::{ServiceRequest, ServiceResponse};
 use crate::service::{Service, ServiceDescription, ServiceFault};
 use parking_lot::Mutex;
@@ -221,8 +222,8 @@ impl SimulatedTransport {
     /// Unlike [`SimulatedTransport::call`], whose draws come from a
     /// shared RNG stream (and therefore depend on the global order of
     /// calls), this path derives latency and failure from a pure hash
-    /// of `(seed, endpoint, request, now_ms, attempt)`. Concurrent
-    /// fan-out workers get identical outcomes regardless of thread
+    /// of `(seed, endpoint, request, now_ms, attempt)`. Queries served
+    /// concurrently get identical outcomes regardless of thread
     /// scheduling — the property the chaos suite's exact assertions
     /// rest on. The installed [`FaultPlan`] composes on top: outages
     /// hang the call (the caller's timeout converts that into a
@@ -282,25 +283,9 @@ impl SimulatedTransport {
     }
 }
 
-/// SplitMix64 mixing step: the deterministic "network noise" of the
-/// virtual-clock call path.
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn request_fingerprint(request: &ServiceRequest) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |s: &str| {
-        for b in s.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= 0xFF;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut h = FNV_OFFSET;
+    let mut eat = |s: &str| h = fnv1a(fnv1a(h, s.as_bytes()), &[0xFF]);
     match request {
         ServiceRequest::Rest(r) => {
             eat(&r.path);

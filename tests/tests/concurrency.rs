@@ -465,3 +465,131 @@ fn singleflight_executes_a_shared_source_exactly_once() {
     assert_eq!(stats.misses, THREADS as u64 + 1);
     assert_eq!(stats.hits + stats.coalesced, THREADS as u64 - 1);
 }
+
+/// One client's seeded stream of distinct (always-L1-missing) queries
+/// over an L2 far smaller than its supplemental key space: the cache
+/// evicts and runs TinyLFU admission on almost every page. The fan-out
+/// runs inline on the querying thread, so each page reaches the L2 in
+/// task order and two fresh platforms end in the same state.
+#[test]
+fn cold_fanout_at_l2_capacity_is_deterministic() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use symphony_core::SourceCacheStats;
+    use symphony_services::{InventoryService, LatencyModel, PricingService};
+
+    const ROWS: usize = 400;
+    const QUERIES: usize = 160;
+
+    fn run() -> (SourceCacheStats, Vec<(String, u32, bool)>) {
+        let words = Topic::Games.words();
+        let mut r = StdRng::seed_from_u64(0xC01D);
+        let mut csv = String::from("title,description\n");
+        for i in 0..ROWS {
+            let description: Vec<&str> =
+                (0..6).map(|_| words[r.gen_range(0..words.len())]).collect();
+            csv.push_str(&format!("Game {i},{}\n", description.join(" ")));
+        }
+        let corpus = Corpus::generate(&CorpusConfig {
+            sites_per_topic: 2,
+            pages_per_site: 6,
+            ..CorpusConfig::default()
+        });
+        let mut platform = Platform::new(SearchEngine::new(corpus))
+            .with_quotas(QuotaConfig {
+                requests_per_minute: u32::MAX,
+                ..QuotaConfig::default()
+            })
+            .with_source_cache(SourceCacheConfig {
+                capacity: 64,
+                ..SourceCacheConfig::default()
+            });
+        platform.transport_mut().register(
+            "pricing",
+            Box::new(PricingService),
+            LatencyModel {
+                base_ms: 10,
+                jitter_ms: 20,
+                failure_rate: 0.05,
+            },
+        );
+        platform.transport_mut().register(
+            "stock",
+            Box::new(InventoryService),
+            LatencyModel::default(),
+        );
+        let (tenant, key) = platform.create_tenant("Cold");
+        let (table, _) = ingest("inventory", &csv, DataFormat::Csv).unwrap();
+        let mut indexed = IndexedTable::new(table);
+        indexed
+            .enable_fulltext(&[("title", 2.0), ("description", 1.0)])
+            .unwrap();
+        platform.upload_table(tenant, &key, indexed).unwrap();
+
+        let mut canvas = Canvas::new();
+        let root = canvas.root_id();
+        let item = Element::column(vec![
+            Element::text("{title}"),
+            Element::result_list("reviews", Element::link_field("url", "{title}"), 2),
+            Element::result_list("pricing", Element::text("${price}"), 1),
+            Element::result_list("stock", Element::text("{quantity} in stock"), 1),
+        ]);
+        canvas
+            .insert(root, Element::result_list("inventory", item, 10))
+            .unwrap();
+        let service = |endpoint: &str, operation: &str| DataSourceDef::Service {
+            endpoint: endpoint.into(),
+            operation: operation.into(),
+            item_param: "item".into(),
+            policy: CallPolicy::default(),
+        };
+        let config = AppBuilder::new("Cold", tenant)
+            .layout(canvas)
+            .source(
+                "inventory",
+                DataSourceDef::Proprietary {
+                    table: "inventory".into(),
+                },
+            )
+            .source(
+                "reviews",
+                DataSourceDef::WebVertical {
+                    vertical: Vertical::Web,
+                    config: SearchConfig::default(),
+                },
+            )
+            .source("pricing", service("pricing", "/price"))
+            .source("stock", service("stock", "CheckStock"))
+            .supplemental("reviews", "{title} review")
+            .supplemental("pricing", "{title}")
+            .supplemental("stock", "{title}")
+            .build()
+            .unwrap();
+        let id = platform.register_app(config).unwrap();
+        platform.publish(id).unwrap();
+
+        // Popular term pairs bring the same rows, and so the same
+        // supplemental keys, back; the trailing token keeps every
+        // query text distinct.
+        let mut q = StdRng::seed_from_u64(7);
+        let responses = (0..QUERIES)
+            .map(|i| {
+                let a = words[q.gen_range(0..8)];
+                let b = words[q.gen_range(0..words.len())];
+                let resp = platform.query(id, &format!("{a} {b} zq{i}")).unwrap();
+                assert!(!resp.trace.cache_hit, "distinct queries miss L1");
+                (resp.html.clone(), resp.virtual_ms, resp.trace.degraded)
+            })
+            .collect();
+        (platform.source_cache_stats(), responses)
+    }
+
+    let (stats, responses) = run();
+    assert!(
+        stats.evictions > 0,
+        "the stream must run the L2 at capacity"
+    );
+    assert!(stats.hits > 0, "popular rows must bring keys back");
+    assert!(responses.iter().any(|(_, _, degraded)| *degraded));
+    assert_eq!(run(), (stats, responses));
+}

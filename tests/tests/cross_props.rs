@@ -111,3 +111,22 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    /// The store derives access keys with its own FNV-1a copy (the
+    /// store crate has no dependency to share one through); it must
+    /// stay bit-identical to the workspace helper.
+    #[test]
+    fn store_access_keys_use_the_shared_fnv1a(
+        names in proptest::collection::vec(".{0,12}", 1..4),
+    ) {
+        use symphony_services::hash::{fnv1a_wide, FNV_OFFSET};
+        let mut store = symphony_store::Store::new();
+        for (id, name) in names.iter().enumerate() {
+            let (tenant, key) = store.create_tenant(name);
+            prop_assert_eq!(tenant.0 as usize, id);
+            let h = fnv1a_wide(fnv1a_wide(FNV_OFFSET, name.as_bytes()), &tenant.0.to_le_bytes());
+            prop_assert_eq!(key.0, format!("sk-{h:08x}-{id}"));
+        }
+    }
+}
