@@ -8,6 +8,12 @@
 //! with [`SearchEngine::merge_pools`] — bit-identical to a
 //! single-index search whenever every shard answers.
 //!
+//! Pools arrive without snippets. Before merging, the gather side
+//! attaches a [`SnippetSource`](symphony_web::SnippetSource) built from
+//! the page table every shard engine shares, so the merge snippets
+//! only the results that reach the page: no second RPC round and no
+//! extra virtual cost.
+//!
 //! Failure semantics ride the existing service machinery rather than
 //! new code paths: a dead primary burns its retries, the breaker trips
 //! and starts fast-failing it for free, and the leg falls over to the
@@ -194,6 +200,12 @@ impl ScatterSearch for ClusterWeb {
             match pool {
                 Some(p) => pools.push(p),
                 None => silent.push(i),
+            }
+        }
+        if !pools.is_empty() {
+            let source = self.shards[0].snippet_source(vertical, query, config);
+            for pool in &mut pools {
+                pool.snippets = Some(source.clone());
             }
         }
         let shards_total = self.shards.len() as u32;

@@ -9,6 +9,9 @@
 //! (see [`symphony_services::rpc`]), because the gather side re-sorts
 //! merged candidates by those floats and a lossy decimal round-trip
 //! would reorder ties and break the bit-identity guarantee.
+//!
+//! Pool entries cross the wire without snippets: the gather side
+//! builds them after the merge, for the results that reach the page.
 
 use std::sync::Arc;
 
@@ -69,7 +72,8 @@ fn field<'a>(record: &'a ServiceRecord, name: &str) -> Option<&'a str> {
 
 /// Encode a shard's candidate pool as wire records: one header record
 /// carrying the shard's MaxScore merge bound, then one record per
-/// pool entry in pool order.
+/// pool entry in pool order. Snippets and the pool's snippet source
+/// are not sent.
 pub fn encode_pool(pool: &ShardPool) -> ServiceResponse {
     let mut records = Vec::with_capacity(pool.entries.len() + 1);
     records.push(vec![
@@ -85,7 +89,6 @@ pub fn encode_pool(pool: &ShardPool) -> ServiceResponse {
             ("score".to_string(), encode_f32(r.score)),
             ("url".to_string(), r.url.clone()),
             ("title".to_string(), r.title.clone()),
-            ("snippet".to_string(), r.snippet.clone()),
             ("domain".to_string(), r.domain.clone()),
         ];
         if let Some(src) = &r.image_src {
@@ -104,7 +107,8 @@ pub fn encode_pool(pool: &ShardPool) -> ServiceResponse {
 
 /// Decode a pool framed by [`encode_pool`]. `None` on any malformed
 /// record — a garbled shard answer must read as a failed shard, never
-/// as a silently truncated pool.
+/// as a silently truncated pool. The decoded pool has no snippet
+/// source; the gather side attaches one before it merges.
 pub fn decode_pool(response: &ServiceResponse) -> Option<ShardPool> {
     let header = response.records.first()?;
     if field(header, "kind") != Some("pool") {
@@ -124,7 +128,7 @@ pub fn decode_pool(response: &ServiceResponse) -> Option<ShardPool> {
             result: WebResult {
                 url: field(rec, "url")?.to_string(),
                 title: field(rec, "title")?.to_string(),
-                snippet: field(rec, "snippet")?.to_string(),
+                snippet: String::new(),
                 domain: field(rec, "domain")?.to_string(),
                 score: decode_f32(field(rec, "score")?)?,
                 image_src: field(rec, "image_src").map(str::to_string),
@@ -133,7 +137,11 @@ pub fn decode_pool(response: &ServiceResponse) -> Option<ShardPool> {
             },
         });
     }
-    Some(ShardPool { entries, bound })
+    Some(ShardPool {
+        entries,
+        bound,
+        snippets: None,
+    })
 }
 
 /// One shard node: serves `/search` over its slice of the corpus,
@@ -172,7 +180,6 @@ impl Service for ShardSearchService {
                     "score".into(),
                     "url".into(),
                     "title".into(),
-                    "snippet".into(),
                     "domain".into(),
                 ],
             }],
@@ -216,7 +223,7 @@ mod tests {
                     result: WebResult {
                         url: "https://ign.com/raiders".into(),
                         title: "Galactic Raiders review".into(),
-                        snippet: "A <b>space</b> shooter".into(),
+                        snippet: String::new(),
                         domain: "ign.com".into(),
                         score: 4.5,
                         image_src: None,
@@ -230,7 +237,7 @@ mod tests {
                     result: WebResult {
                         url: "https://tube.example/clip".into(),
                         title: "Trailer".into(),
-                        snippet: "watch".into(),
+                        snippet: String::new(),
                         domain: "tube.example".into(),
                         score: 0.125,
                         image_src: Some("https://tube.example/clip.jpg".into()),
@@ -240,6 +247,7 @@ mod tests {
                 },
             ],
             bound: 2.875,
+            snippets: None,
         }
     }
 
@@ -255,6 +263,26 @@ mod tests {
             assert_eq!(d.result.score.to_bits(), e.result.score.to_bits());
             assert_eq!(d.result, e.result);
         }
+        assert_eq!(decoded, pool, "no snippet source crosses the wire");
+    }
+
+    #[test]
+    fn frames_carry_no_snippets() {
+        let resp = encode_pool(&a_pool());
+        assert!(resp.records.iter().flatten().all(|(k, _)| k != "snippet"));
+    }
+
+    #[test]
+    fn garbled_records_are_rejected() {
+        let mut resp = encode_pool(&a_pool());
+        resp.records[1].retain(|(k, _)| k != "raw");
+        assert!(decode_pool(&resp).is_none(), "entry missing its raw score");
+        let mut resp = encode_pool(&a_pool());
+        resp.records[2][0].1 = "not-a-page".into();
+        assert!(decode_pool(&resp).is_none(), "unparsable page index");
+        let mut resp = encode_pool(&a_pool());
+        resp.records[0][0].1 = "rows".into();
+        assert!(decode_pool(&resp).is_none(), "wrong header kind");
     }
 
     #[test]

@@ -10,6 +10,8 @@ use symphony_services::rpc::{replica_endpoint, shard_endpoint};
 use symphony_services::{BreakerState, FaultPlan};
 use symphony_store::ingest::{ingest, DataFormat};
 use symphony_store::{IndexedTable, TenantId};
+use symphony_text::snippet::SnippetGenerator;
+use symphony_text::Query;
 use symphony_web::{Corpus, CorpusConfig, SearchConfig, SearchEngine, Topic, Vertical, WebResult};
 
 fn corpus() -> Corpus {
@@ -37,6 +39,36 @@ fn result_bits(results: &[WebResult]) -> Vec<(String, u32)> {
         .collect()
 }
 
+/// The snippet an eager pool built for a result: the vertical index's
+/// analyzer over the query's positive words, augmentation terms
+/// included, run on the page body.
+fn eager_snippet(
+    engine: &SearchEngine,
+    vertical: Vertical,
+    query: &str,
+    config: &SearchConfig,
+    url: &str,
+) -> String {
+    let parsed = Query::parse(query);
+    let mut words = parsed.positive_words();
+    words.extend(config.augment_terms.iter().map(String::as_str));
+    let body = &engine.corpus().page_by_url(url).expect("known url").body;
+    SnippetGenerator::new(engine.analyzer(vertical), &words).snippet(body)
+}
+
+/// Index of the first result whose snippet differs from the eager one.
+fn wrong_snippet(
+    engine: &SearchEngine,
+    vertical: Vertical,
+    query: &str,
+    config: &SearchConfig,
+    results: &[WebResult],
+) -> Option<usize> {
+    results
+        .iter()
+        .position(|r| r.snippet != eager_snippet(engine, vertical, query, config, &r.url))
+}
+
 const QUERIES: [&str; 4] = [
     "Galactic Raiders",
     "game review",
@@ -58,10 +90,14 @@ fn scatter_is_bit_identical_to_single_engine_search() {
                 let out = cluster.scatter(vertical, q, &config, 10, 0);
                 assert_eq!(out.shards_answered, n as u32);
                 assert_eq!(out.error, None);
+                let want = single.search(vertical, q, &config, 10);
+                let at = format!("vertical {vertical:?} query {q:?} shards {n}");
+                assert_eq!(result_bits(&out.results), result_bits(&want), "{at}");
+                assert_eq!(out.results, want, "{at}");
                 assert_eq!(
-                    result_bits(&out.results),
-                    result_bits(&single.search(vertical, q, &config, 10)),
-                    "vertical {vertical:?} query {q:?} shards {n}"
+                    wrong_snippet(&single, vertical, q, &config, &out.results),
+                    None,
+                    "{at}"
                 );
                 worst = worst.max(out.virtual_ms);
             }
@@ -163,6 +199,13 @@ fn dead_shard_degrades_to_partial_results() {
             r.url
         );
     }
+    let engine = &cluster.shard_engines()[1];
+    let config = SearchConfig::default();
+    assert_eq!(
+        wrong_snippet(engine, Vertical::Web, "game review", &config, &out.results),
+        None,
+        "the partial page is snippeted at the gather side"
+    );
 }
 
 #[test]
@@ -381,10 +424,13 @@ mod sharded_equals_single {
             let out = cluster.scatter(vertical, query, &config, k, 0);
             prop_assert_eq!(out.shards_answered as usize, shards);
             prop_assert_eq!(out.error, None);
+            let want = single.search(vertical, query, &config, k);
+            prop_assert_eq!(result_bits(&out.results), result_bits(&want));
             prop_assert_eq!(
-                result_bits(&out.results),
-                result_bits(&single.search(vertical, query, &config, k))
+                wrong_snippet(&single, vertical, query, &config, &out.results),
+                None
             );
+            prop_assert_eq!(out.results, want);
         }
     }
 }
@@ -414,4 +460,65 @@ fn full_shard_outage_serves_degraded_queries_through_the_router() {
     );
     let summary = router.app_traffic_summary(app).unwrap();
     assert_eq!(summary.degraded_queries, 1);
+}
+
+#[test]
+fn dead_shard_partial_page_through_the_router_carries_snippets() {
+    let corpus = corpus();
+    let plan = FaultPlan::new()
+        .outage(&shard_endpoint(2), 0, 10_000_000)
+        .outage(&replica_endpoint(2), 0, 10_000_000);
+    let mut router = Router::with_faults(&corpus, 3, 1, 0xC0FFEE, plan);
+    let name = "tenant-0";
+    router.create_tenant(name);
+    let mut canvas = Canvas::new();
+    let root = canvas.root_id();
+    canvas
+        .insert(
+            root,
+            Element::result_list("web", Element::rich_text("[{snippet}]"), 10),
+        )
+        .unwrap();
+    let config = SearchConfig::default().augment(["review"]);
+    let app = AppBuilder::new("Snippets", TenantId(0))
+        .layout(canvas)
+        .source(
+            "web",
+            DataSourceDef::WebVertical {
+                vertical: Vertical::Web,
+                config: config.clone(),
+            },
+        )
+        .build()
+        .unwrap();
+    let app = router.register_app(name, app).unwrap();
+    router.publish(app).unwrap();
+    let resp = router.query(app, "Galactic Raiders").unwrap();
+    assert!(resp.trace.degraded, "shard 2 is silent");
+
+    // The page the two live shards produce, in order; each result must
+    // show the snippet an eager pool would have built.
+    let engines = router.cluster().shard_engines();
+    let pools = engines[..2]
+        .iter()
+        .map(|e| e.search_pool(Vertical::Web, "Galactic Raiders", &config, 10))
+        .collect();
+    let partial = SearchEngine::merge_pools(pools, 10);
+    assert!(!partial.is_empty());
+    let mut from = 0;
+    for r in &partial {
+        let snippet = eager_snippet(
+            &engines[0],
+            Vertical::Web,
+            "Galactic Raiders",
+            &config,
+            &r.url,
+        );
+        assert!(snippet.contains("<b>"), "{snippet}");
+        let at = resp.html[from..]
+            .find(&format!("[{snippet}]"))
+            .unwrap_or_else(|| panic!("{} missing or out of order in {}", r.url, resp.html));
+        from += at + 1;
+    }
+    assert_eq!(resp.html.matches("[").count(), partial.len());
 }

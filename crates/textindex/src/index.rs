@@ -33,6 +33,7 @@ use crate::postings::{ChainedCursor, CompressedPostings, PostingsCursor, NO_DOC}
 use crate::segment::{ActiveSegment, SealedSegment, Segment, SegmentBuilder};
 use crate::DocId;
 use std::collections::hash_map::Entry;
+use std::sync::Arc;
 
 /// Upper bound on worker threads for [`Index::build_parallel`],
 /// mirroring the serving path's `MAX_FANOUT_WORKERS` cap.
@@ -53,8 +54,10 @@ pub struct FieldId(pub u16);
 
 /// Static configuration of an [`Index`].
 pub struct IndexConfig {
-    /// Analyzer applied to every field at index and query time.
-    pub analyzer: Box<dyn Analyzer>,
+    /// Analyzer applied to every field at index and query time. Shared
+    /// so that consumers outliving a borrow of the index (deferred
+    /// snippet builders) analyze exactly as the index does.
+    pub analyzer: Arc<dyn Analyzer>,
     /// Whether original field text is retained (needed for snippets
     /// when the caller does not keep documents elsewhere).
     pub store_text: bool,
@@ -63,7 +66,7 @@ pub struct IndexConfig {
 impl Default for IndexConfig {
     fn default() -> Self {
         IndexConfig {
-            analyzer: Box::new(StandardAnalyzer::new()),
+            analyzer: Arc::new(StandardAnalyzer::new()),
             store_text: true,
         }
     }
@@ -890,6 +893,12 @@ impl Index {
     /// The analyzer used by this index (query parsing must reuse it).
     pub fn analyzer(&self) -> &dyn Analyzer {
         self.config.analyzer.as_ref()
+    }
+
+    /// A shared handle to [`Index::analyzer`], for work that runs after
+    /// the borrow of the index ends.
+    pub fn shared_analyzer(&self) -> Arc<dyn Analyzer> {
+        Arc::clone(&self.config.analyzer)
     }
 
     /// Snapshot statistics.

@@ -17,8 +17,8 @@ use symphony_text::query::{Clause, ClauseKind, Occur};
 use symphony_text::snippet::SnippetGenerator;
 use symphony_text::spell::SpellSuggester;
 use symphony_text::{
-    Doc, DocId, FieldId, GlobalScoreStats, Index, IndexConfig, MaintenanceReport, Query, Searcher,
-    SegmentPolicy,
+    Analyzer, Doc, DocId, FieldId, GlobalScoreStats, Index, IndexConfig, MaintenanceReport, Query,
+    Searcher, SegmentPolicy,
 };
 
 /// Search verticals.
@@ -132,19 +132,21 @@ pub struct WebResult {
     pub date: Option<i64>,
 }
 
-/// One candidate in a shard's scatter-gather pool: the fully blended
-/// result plus the two keys that drive the rank-safe merge — the raw
-/// BM25 relevance score (comparable across shards once corpus-wide
-/// statistics are folded) and the global page index (the canonical
-/// tie-break, equal to single-index doc order under strided
-/// partitioning).
+/// One candidate in a shard's scatter-gather pool: the blended result
+/// (its snippet still empty) plus the two keys that drive the
+/// rank-safe merge — the raw BM25 relevance score (comparable across
+/// shards once corpus-wide statistics are folded) and the global page
+/// index (the canonical tie-break, equal to single-index doc order
+/// under strided partitioning).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolEntry {
     /// Global corpus page index.
     pub page: usize,
     /// Raw BM25 score from the vertical index, before blending.
     pub raw: f32,
-    /// The blended, snippet-carrying result.
+    /// The blended result. Its snippet stays empty until
+    /// [`SearchEngine::merge_pools`] builds it for the entries that
+    /// reach the page.
     pub result: WebResult,
 }
 
@@ -161,6 +163,10 @@ pub struct ShardPool {
     /// (`NEG_INFINITY` when the pool came back short — the shard is
     /// exhausted and withholds nothing).
     pub bound: f32,
+    /// How to build the snippets of the entries that survive the
+    /// merge. Set by [`SearchEngine::search_pool`]; a pool decoded
+    /// from the wire has none until the gather side attaches one.
+    pub snippets: Option<SnippetSource>,
 }
 
 impl Default for ShardPool {
@@ -168,7 +174,46 @@ impl Default for ShardPool {
         ShardPool {
             entries: Vec::new(),
             bound: f32::NEG_INFINITY,
+            snippets: None,
         }
+    }
+}
+
+/// Everything needed to build a result snippet after the merge: the
+/// page table, the vertical index's analyzer, and the query's positive
+/// words (augmentation terms included). Cloning bumps three reference
+/// counts.
+#[derive(Clone)]
+pub struct SnippetSource {
+    corpus: Arc<Corpus>,
+    analyzer: Arc<dyn Analyzer>,
+    words: Arc<[String]>,
+}
+
+impl SnippetSource {
+    /// Fill in the snippet of every entry from its page body.
+    fn fill(&self, entries: &mut [PoolEntry]) {
+        let generator = SnippetGenerator::new(&*self.analyzer, &self.words);
+        for e in entries {
+            e.result.snippet = generator.snippet(&self.corpus.pages[e.page].body);
+        }
+    }
+}
+
+impl std::fmt::Debug for SnippetSource {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SnippetSource")
+            .field("words", &self.words)
+            .finish_non_exhaustive()
+    }
+}
+
+impl PartialEq for SnippetSource {
+    /// Same page table and analyzer instances, same words.
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.corpus, &other.corpus)
+            && std::ptr::addr_eq(Arc::as_ptr(&self.analyzer), Arc::as_ptr(&other.analyzer))
+            && self.words == other.words
     }
 }
 
@@ -208,7 +253,9 @@ impl VerticalIndex {
 
 /// The search engine over one corpus.
 pub struct SearchEngine {
-    corpus: Corpus,
+    /// The page table, shared by every shard of a cluster and by the
+    /// snippet sources of in-flight pools; ingest copies on write.
+    corpus: Arc<Corpus>,
     rank: Vec<f64>,
     web: VerticalIndex,
     image: VerticalIndex,
@@ -343,7 +390,7 @@ impl SearchEngine {
             })
         };
         SearchEngine {
-            corpus,
+            corpus: Arc::new(corpus),
             rank,
             web,
             image,
@@ -364,9 +411,11 @@ impl SearchEngine {
     /// to each engine, so shard-local searches score exactly as one
     /// index over the whole corpus would — the foundation of the
     /// rank-safe scatter-gather merge ([`SearchEngine::merge_pools`]).
+    /// The shards share one copy of the page table.
     pub fn build_cluster(corpus: &Corpus, num_shards: usize, threads: usize) -> Vec<SearchEngine> {
         assert!(num_shards > 0, "cluster needs at least one shard");
         let rank = static_rank(corpus, 30);
+        let shared = Arc::new(corpus.clone());
         let mut shards: Vec<SearchEngine> = (0..num_shards)
             .map(|s| {
                 let mut routed = route_pages(corpus);
@@ -386,7 +435,7 @@ impl SearchEngine {
                 let news = build_vertical(news_d, threads);
                 let speller = SpellSuggester::from_index(&web.index);
                 SearchEngine {
-                    corpus: corpus.clone(),
+                    corpus: Arc::clone(&shared),
                     rank: rank.clone(),
                     web,
                     image,
@@ -468,6 +517,11 @@ impl SearchEngine {
         }
     }
 
+    /// The analyzer a vertical's index applies to pages and queries.
+    pub fn analyzer(&self, v: Vertical) -> &dyn Analyzer {
+        self.vertical(v).index.analyzer()
+    }
+
     fn vertical_mut(&mut self, v: Vertical) -> &mut VerticalIndex {
         match v {
             Vertical::Web => &mut self.web,
@@ -488,18 +542,19 @@ impl SearchEngine {
     /// folds them into the link graph.
     pub fn ingest_page(&mut self, page: Page) -> Vertical {
         let vertical = Vertical::of_kind(&page.kind);
-        match self.corpus.page_index_by_url(&page.url) {
+        let corpus = Arc::make_mut(&mut self.corpus);
+        match corpus.page_index_by_url(&page.url) {
             Some(idx) => {
-                let old = Vertical::of_kind(&self.corpus.pages[idx].kind);
+                let old = Vertical::of_kind(&corpus.pages[idx].kind);
+                let doc = page_doc(&page);
+                corpus.pages[idx] = page;
                 if old != vertical {
                     self.vertical_mut(old).remove_page(idx);
                 }
-                let doc = page_doc(&page);
-                self.corpus.pages[idx] = page;
                 self.vertical_mut(vertical).add_page(idx, doc);
             }
             None => {
-                let idx = self.corpus.push_page(page);
+                let idx = corpus.push_page(page);
                 let mean = match self.rank.len() {
                     0 => 0.0,
                     n => self.rank.iter().sum::<f64>() / n as f64,
@@ -563,7 +618,7 @@ impl SearchEngine {
     /// customization hooks; at most `k` results return, best first.
     ///
     /// Implemented as the one-shard special case of the scatter-gather
-    /// pipeline: one candidate pool, merged and ranked by
+    /// pipeline: one candidate pool, merged, ranked and snippeted by
     /// [`SearchEngine::merge_pools`].
     pub fn search(
         &self,
@@ -582,6 +637,44 @@ impl SearchEngine {
         (k * 4).max(32)
     }
 
+    /// The query a search runs: `raw_query` parsed, plus each
+    /// augmentation term as an optional clause.
+    fn full_query(raw_query: &str, config: &SearchConfig) -> Query {
+        let mut query = Query::parse(raw_query);
+        for t in &config.augment_terms {
+            query.clauses.push(Clause {
+                occur: Occur::Should,
+                kind: ClauseKind::Term(t.clone()),
+                field: None,
+            });
+        }
+        query
+    }
+
+    fn source_for(&self, vertical: Vertical, query: &Query) -> SnippetSource {
+        SnippetSource {
+            corpus: Arc::clone(&self.corpus),
+            analyzer: self.vertical(vertical).index.shared_analyzer(),
+            words: query
+                .positive_words()
+                .into_iter()
+                .map(String::from)
+                .collect(),
+        }
+    }
+
+    /// The snippet source [`search_pool`](Self::search_pool) attaches
+    /// to its pool for this request. The gather side of a cluster
+    /// calls it to snippet pools that arrive over the wire.
+    pub fn snippet_source(
+        &self,
+        vertical: Vertical,
+        raw_query: &str,
+        config: &SearchConfig,
+    ) -> SnippetSource {
+        self.source_for(vertical, &Self::full_query(raw_query, config))
+    }
+
     /// Produce this engine's candidate pool for one query: the top
     /// [`pool_depth`](Self::pool_depth) relevance hits, rescored with
     /// static rank / click / preference / recency blending, each
@@ -591,6 +684,10 @@ impl SearchEngine {
     /// raw scores are computed under folded corpus-wide statistics, so
     /// pools from different shards are directly comparable — merging
     /// them reproduces the single-index pool exactly.
+    ///
+    /// Entries carry no snippet: the pool instead carries a
+    /// [`SnippetSource`], and the merge builds snippets only for the
+    /// results that reach the page.
     pub fn search_pool(
         &self,
         vertical: Vertical,
@@ -598,14 +695,7 @@ impl SearchEngine {
         config: &SearchConfig,
         k: usize,
     ) -> ShardPool {
-        let mut query = Query::parse(raw_query);
-        for t in &config.augment_terms {
-            query.clauses.push(Clause {
-                occur: Occur::Should,
-                kind: ClauseKind::Term(t.clone()),
-                field: None,
-            });
-        }
+        let query = Self::full_query(raw_query, config);
         if query.is_empty() || k == 0 {
             return ShardPool::default();
         }
@@ -632,9 +722,6 @@ impl SearchEngine {
         } else {
             self.click_boosts.get(&normalize_query(raw_query))
         };
-        // One snippet generator for the whole result page: construction
-        // analyzes the query terms, which is identical for every hit.
-        let snippeter = SnippetGenerator::new(vi.index.analyzer(), &query.positive_words());
         let entries: Vec<PoolEntry> = hits
             .into_iter()
             .map(|h| {
@@ -671,7 +758,7 @@ impl SearchEngine {
                     result: WebResult {
                         url: page.url.clone(),
                         title: page.title.clone(),
-                        snippet: snippeter.snippet(&page.body),
+                        snippet: String::new(),
                         domain,
                         score,
                         image_src,
@@ -688,7 +775,11 @@ impl SearchEngine {
         debug_assert!(entries
             .windows(2)
             .all(|w| w[1].raw < w[0].raw || (w[1].raw == w[0].raw && w[0].page < w[1].page)));
-        ShardPool { entries, bound }
+        ShardPool {
+            entries,
+            bound,
+            snippets: Some(self.source_for(vertical, &query)),
+        }
     }
 
     /// Rank-safe gather: merge per-shard candidate pools into the
@@ -707,12 +798,18 @@ impl SearchEngine {
     /// bound certifies the truncation: any document a shard withheld
     /// scores at or below its bound, and a debug assertion checks no
     /// withheld document could have displaced the merged cutoff.
+    ///
+    /// Snippets are built last, for the at most `k` results on the
+    /// page, from the first pool's [`SnippetSource`] (every pool of one
+    /// request carries an equivalent source).
     pub fn merge_pools(pools: Vec<ShardPool>, k: usize) -> Vec<WebResult> {
         let depth = Self::pool_depth(k);
         let mut merged: Vec<PoolEntry> =
             Vec::with_capacity(pools.iter().map(|p| p.entries.len()).sum());
         let mut bounds: Vec<(f32, usize)> = Vec::with_capacity(pools.len());
+        let mut source = None;
         for pool in pools {
+            source = source.or(pool.snippets);
             // A shard whose pool came back full may be withholding
             // docs scoring up to its bound; remember it for the
             // rank-safety certificate below.
@@ -732,10 +829,19 @@ impl SearchEngine {
                 "shard bound exceeds merged cutoff: rank safety violated"
             );
         }
-        let mut results: Vec<WebResult> = merged.into_iter().map(|e| e.result).collect();
-        results.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.url.cmp(&b.url)));
-        results.truncate(k);
-        results
+        merged.sort_by(|a, b| {
+            let (a, b) = (&a.result, &b.result);
+            b.score.total_cmp(&a.score).then_with(|| a.url.cmp(&b.url))
+        });
+        merged.truncate(k);
+        debug_assert!(
+            merged.is_empty() || source.is_some(),
+            "a result page was merged without a snippet source"
+        );
+        if let Some(source) = &source {
+            source.fill(&mut merged);
+        }
+        merged.into_iter().map(|e| e.result).collect()
     }
 
     /// Number of live (searchable) documents in a vertical.
@@ -1087,6 +1193,62 @@ mod tests {
             .collect()
     }
 
+    /// The snippet an eager pool built for `url`: the vertical's
+    /// analyzer over the query's positive words, augmentation terms
+    /// included, run on the page body.
+    fn eager_snippet(
+        e: &SearchEngine,
+        v: Vertical,
+        q: &str,
+        config: &SearchConfig,
+        url: &str,
+    ) -> String {
+        let parsed = Query::parse(q);
+        let mut words = parsed.positive_words();
+        words.extend(config.augment_terms.iter().map(String::as_str));
+        let body = &e.corpus().page_by_url(url).expect("known url").body;
+        SnippetGenerator::new(e.analyzer(v), &words).snippet(body)
+    }
+
+    #[test]
+    fn only_page_results_are_snippeted() {
+        let e = engine();
+        let config = SearchConfig::default().augment(["gameplay"]);
+        let pool = e.search_pool(Vertical::Web, "game review", &config, 3);
+        assert!(pool.entries.len() > 3, "the pool is deeper than the page");
+        assert!(pool.entries.iter().all(|p| p.result.snippet.is_empty()));
+        assert!(pool.snippets.is_some(), "pool carries a snippet source");
+        let page = SearchEngine::merge_pools(vec![pool], 3);
+        assert_eq!(page.len(), 3);
+        for r in &page {
+            assert!(!r.snippet.is_empty());
+            assert_eq!(
+                r.snippet,
+                eager_snippet(&e, Vertical::Web, "game review", &config, &r.url)
+            );
+        }
+    }
+
+    #[test]
+    fn cluster_shards_share_one_page_table() {
+        let corpus = Corpus::generate(&CorpusConfig {
+            sites_per_topic: 2,
+            pages_per_site: 3,
+            ..CorpusConfig::default()
+        });
+        let mut shards = SearchEngine::build_cluster(&corpus, 3, 1);
+        assert!(shards
+            .windows(2)
+            .all(|w| Arc::ptr_eq(&w[0].corpus, &w[1].corpus)));
+        // Ingest copies on write: the other shards keep the old table.
+        let page = crawled_page(&shards[0], "zyx", "Zyxwvut", "a zyxwvut story");
+        shards[0].ingest_page(page);
+        assert!(!Arc::ptr_eq(&shards[0].corpus, &shards[1].corpus));
+        assert!(Arc::ptr_eq(&shards[1].corpus, &shards[2].corpus));
+        assert_eq!(shards[0].corpus().pages.len(), corpus.pages.len() + 1);
+        assert_eq!(shards[1].corpus().pages.len(), corpus.pages.len());
+    }
+
     #[test]
     fn cluster_merge_is_bit_identical_to_single_engine() {
         let cfg = CorpusConfig {
@@ -1121,11 +1283,17 @@ mod tests {
                                 .map(|e| e.search_pool(v, q, config, k))
                                 .collect();
                             let got = SearchEngine::merge_pools(pools, k);
-                            assert_eq!(
-                                result_bits(&want),
-                                result_bits(&got),
-                                "vertical {v:?} query {q:?} config {ci} k {k} shards {n}"
-                            );
+                            let at =
+                                format!("vertical {v:?} query {q:?} config {ci} k {k} shards {n}");
+                            assert_eq!(result_bits(&want), result_bits(&got), "{at}");
+                            assert_eq!(want, got, "{at}");
+                            for r in &got {
+                                assert_eq!(
+                                    r.snippet,
+                                    eager_snippet(&single, v, q, config, &r.url),
+                                    "{at}"
+                                );
+                            }
                         }
                     }
                 }
