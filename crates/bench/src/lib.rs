@@ -407,8 +407,8 @@ pub fn shared_fleet_world(apps: usize, l2: bool) -> (Platform, Vec<AppId>) {
 /// (index-matched to `policies`; pass an empty slice for all-unlimited
 /// — the AC-off ablation).
 ///
-/// Interaction logging is OFF (millions of modeled sessions must not
-/// accumulate an event log), and when `caches` is false both response
+/// Interaction logging is OFF (the overload cells measure admission,
+/// not telemetry), and when `caches` is false both response
 /// caches are disabled so every admitted query exercises the execute
 /// path — the regime where admission control is load-bearing. With
 /// `caches` on, the world measures harness throughput instead.

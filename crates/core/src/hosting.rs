@@ -4,8 +4,8 @@
 //! distributed, its execution and the resources involved are always
 //! shouldered by Symphony."* [`Platform`] owns every substrate, hosts
 //! registered applications behind a publish lifecycle, enforces
-//! request and storage quotas, caches results, and feeds the
-//! monetization log.
+//! request and storage quotas, caches results, and aggregates each
+//! app's interaction telemetry.
 //!
 //! # Concurrency model
 //!
@@ -21,16 +21,16 @@
 //!
 //! Mutable serving state is sharded behind fine-grained locks so
 //! unrelated requests do not contend: each hosted app has its own
-//! result-cache and request-metering [`Mutex`]es, the interaction log
-//! is one coarse [`Mutex`] (append-only), ad billing synchronizes
-//! inside [`AdServer`], and the virtual clock is an [`AtomicU64`].
+//! result-cache, request-metering and interaction-telemetry
+//! [`Mutex`]es, ad billing synchronizes inside [`AdServer`], and the
+//! virtual clock is an [`AtomicU64`].
 
 use crate::admission::{FanoutScheduler, Lane, TokenBucket};
 use crate::app::{AppId, ApplicationConfig};
 use crate::cache::{CacheStats, LruTtlCache};
 use crate::embed::{embed_snippet, SocialManifest};
 use crate::error::PlatformError;
-use crate::monetize::{ClickLog, Impression, InteractionEvent, InteractionKind, TrafficSummary};
+use crate::monetize::{AppTraffic, Impression, TrafficSummary};
 use crate::runtime::{execute_resilient, shed_response, ExecCtx, ExecMode, QueryResponse};
 use crate::source::Substrates;
 use crate::source_cache::{normalize_query, SourceCache, SourceCacheConfig, SourceCacheStats};
@@ -113,6 +113,9 @@ struct HostedApp {
     /// Queries of this app currently in execution (cache hits and shed
     /// responses never count: they consume no execution resources).
     inflight: AtomicU32,
+    /// Interaction telemetry, aggregated on write (written only when
+    /// the app's `log_interactions` is on).
+    traffic: Mutex<AppTraffic>,
 }
 
 /// RAII in-execution marker: holds one slot of an app's concurrency
@@ -147,7 +150,6 @@ pub struct Platform {
     transport: symphony_services::SimulatedTransport,
     ads: AdServer,
     apps: Vec<HostedApp>,
-    click_log: Mutex<ClickLog>,
     /// Per-endpoint circuit breakers, shared by every hosted app
     /// (lock-sharded internally).
     breakers: symphony_services::BreakerRegistry,
@@ -194,7 +196,6 @@ impl Platform {
             transport: symphony_services::SimulatedTransport::new(0xD1CE),
             ads: AdServer::new(),
             apps: Vec::new(),
-            click_log: Mutex::new(ClickLog::new()),
             breakers: symphony_services::BreakerRegistry::new(
                 symphony_services::BreakerConfig::default(),
             ),
@@ -463,6 +464,7 @@ impl Platform {
                 self.clock_ms.load(Ordering::SeqCst),
             )),
             inflight: AtomicU32::new(0),
+            traffic: Mutex::new(AppTraffic::default()),
         });
         Ok(id)
     }
@@ -654,7 +656,6 @@ impl Platform {
             ));
         }
         let log_interactions = hosted.config.monetization.log_interactions;
-        let app_name = hosted.config.name.as_str();
 
         let cached = hosted.cache.lock().get(&cache_key, now).cloned();
         if let Some(resp) = cached {
@@ -667,7 +668,10 @@ impl Platform {
             }
             let at = self.advance_clock_by(CACHE_HIT_MS as u64);
             if log_interactions {
-                log_impressions(&self.click_log, app_name, query, &resp.impressions, at);
+                hosted
+                    .traffic
+                    .lock()
+                    .record_impressions(resp.impressions.len(), at);
             }
             return Ok(resp);
         }
@@ -725,7 +729,10 @@ impl Platform {
         }
         let at = self.advance_clock_by(resp.virtual_ms as u64);
         if log_interactions {
-            log_impressions(&self.click_log, app_name, query, &resp.impressions, at);
+            hosted
+                .traffic
+                .lock()
+                .record_impressions(resp.impressions.len(), at);
         }
         // Build the hit variant once, at insert time (the one clone a
         // miss pays); every later hit shares it.
@@ -796,19 +803,10 @@ impl Platform {
             .apps
             .get(id.0 as usize)
             .ok_or(PlatformError::AppNotFound(id.0))?;
-        let app_name = hosted.config.name.clone();
         let publisher = &hosted.config.monetization.publisher;
-        let log_interactions = hosted.config.monetization.log_interactions;
-        if log_interactions {
-            self.click_log.lock().record(InteractionEvent {
-                app: app_name,
-                at_ms: self.clock_ms.load(Ordering::SeqCst),
-                query: query.to_string(),
-                kind: InteractionKind::Click,
-                source: impression.source.clone(),
-                url: impression.url.clone(),
-                is_ad: impression.is_ad,
-            });
+        if hosted.config.monetization.log_interactions {
+            let at = self.clock_ms.load(Ordering::SeqCst);
+            hosted.traffic.lock().record_click(at, query, impression);
         }
         if impression.is_ad {
             if let (Some(campaign), Some(price)) =
@@ -843,7 +841,7 @@ impl Platform {
             .apps
             .get(id.0 as usize)
             .ok_or(PlatformError::AppNotFound(id.0))?;
-        let mut summary = self.click_log.lock().summarize(&app.config.name);
+        let mut summary = app.traffic.lock().summary(&app.config.name);
         summary.queries = app.queries.load(Ordering::Relaxed);
         summary.degraded_queries = app.degraded_queries.load(Ordering::Relaxed);
         summary.shed_queries = app.shed_queries.load(Ordering::Relaxed);
@@ -856,16 +854,18 @@ impl Platform {
             .apps
             .get(id.0 as usize)
             .ok_or(PlatformError::AppNotFound(id.0))?;
-        Ok(self.click_log.lock().daily_series(&app.config.name))
+        Ok(app.traffic.lock().daily_series())
     }
 
-    /// Referral-audit CSV for an app.
+    /// Referral-audit CSV for an app: its newest
+    /// [`AUDIT_RING_CLICKS`](crate::monetize::AUDIT_RING_CLICKS) clicks,
+    /// in click order.
     pub fn referral_audit_csv(&self, id: AppId) -> Result<String, PlatformError> {
         let app = self
             .apps
             .get(id.0 as usize)
             .ok_or(PlatformError::AppNotFound(id.0))?;
-        Ok(self.click_log.lock().referral_audit_csv(&app.config.name))
+        Ok(app.traffic.lock().referral_audit_csv())
     }
 
     /// Cache statistics for an app.
@@ -973,28 +973,6 @@ fn overrides_fingerprint(
         h = fnv1a(h, format!("{:?}", overrides[name]).as_bytes());
     }
     h
-}
-
-fn log_impressions(
-    log: &Mutex<ClickLog>,
-    app: &str,
-    query: &str,
-    impressions: &[Impression],
-    at_ms: u64,
-) {
-    // One lock acquisition per response, not per impression.
-    let mut log = log.lock();
-    for imp in impressions {
-        log.record(InteractionEvent {
-            app: app.to_string(),
-            at_ms,
-            query: query.to_string(),
-            kind: InteractionKind::Impression,
-            source: imp.source.clone(),
-            url: imp.url.clone(),
-            is_ad: imp.is_ad,
-        });
-    }
 }
 
 #[cfg(test)]
@@ -1239,6 +1217,43 @@ mod tests {
         assert_eq!(summary.clicks, 1);
         let csv = p.referral_audit_csv(id).unwrap();
         assert!(csv.lines().count() >= 2);
+    }
+
+    #[test]
+    fn same_name_apps_keep_separate_telemetry() {
+        let (mut p, first_tenant, _) = platform();
+        let (second_tenant, key) = p.create_tenant("OtherShop");
+        let (table, _) = ingest(
+            "inventory",
+            "title,genre,description\nSpace Trader,sim,a space trading game\n",
+            DataFormat::Csv,
+        )
+        .unwrap();
+        let mut indexed = IndexedTable::new(table);
+        indexed
+            .enable_fulltext(&[("title", 2.0), ("genre", 1.0), ("description", 1.0)])
+            .unwrap();
+        p.upload_table(second_tenant, &key, indexed).unwrap();
+        let first = register_gamer_queen(&mut p, first_tenant);
+        let second = register_gamer_queen(&mut p, second_tenant);
+        assert_eq!(p.app(first).unwrap().name, p.app(second).unwrap().name);
+        p.publish(first).unwrap();
+        p.publish(second).unwrap();
+
+        let resp = p.query(first, "shooter").unwrap();
+        p.click(first, "shooter", &resp.impressions[0]).unwrap();
+        assert!(p.traffic_summary(first).unwrap().impressions > 0);
+        assert_eq!(p.traffic_summary(first).unwrap().clicks, 1);
+
+        let other = p.traffic_summary(second).unwrap();
+        assert_eq!(other.impressions, 0);
+        assert_eq!(other.clicks, 0);
+        assert!(other.top_queries.is_empty());
+        assert!(p.daily_series(second).unwrap().is_empty());
+        assert_eq!(
+            p.referral_audit_csv(second).unwrap(),
+            "at_ms,query,source,url,is_ad\n"
+        );
     }
 
     #[test]

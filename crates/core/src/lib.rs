@@ -14,8 +14,9 @@
 //! * [`hosting`] — the multi-tenant [`hosting::Platform`]: publish
 //!   lifecycle, request/storage quotas, caching, analytics.
 //! * [`embed`] — embed snippets and social-canvas deployment.
-//! * [`monetize`] — interaction logging, traffic summaries, referral
-//!   audit export, automatic ad-click crediting.
+//! * [`monetize`] — per-app interaction telemetry aggregated on write,
+//!   traffic summaries, referral audit export, automatic ad-click
+//!   crediting.
 //! * [`recommend`] — supplemental-content recommendation (paper §IV
 //!   future work), content- and crowd-driven.
 //! * [`admission`] — per-tenant overload protection: token-bucket
@@ -86,7 +87,7 @@ pub use cache::{CacheStats, LruTtlCache};
 pub use embed::{embed_snippet, SocialCanvasHost, SocialManifest};
 pub use error::PlatformError;
 pub use hosting::{MaintenanceSummary, Platform, QueryHost, QuotaConfig};
-pub use monetize::{ClickLog, Impression, InteractionEvent, InteractionKind, TrafficSummary};
+pub use monetize::{Impression, TrafficSummary};
 pub use recommend::{recommend_sites, recommend_sites_with_crowd, SiteRecommendation};
 pub use runtime::{
     execute, execute_resilient, execute_with_overrides, shed_response, ExecCtx, ExecMode,
